@@ -18,7 +18,6 @@ import (
 	"lbmib/internal/omp"
 	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
-	"lbmib/internal/soa"
 	"lbmib/internal/taskflow"
 )
 
@@ -167,18 +166,6 @@ func BenchmarkSolverStep(b *testing.B) {
 	b.Run("taskflow-4wrk-k8", func(b *testing.B) {
 		s, err := taskflow.NewSolver(taskflow.Config{NX: 32, NY: 32, NZ: 32,
 			CubeSize: 8, Workers: 4, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Step()
-		}
-		reportMLUPS(b)
-	})
-	b.Run("soa-sequential", func(b *testing.B) {
-		s, err := soa.NewSolver(soa.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7,
 			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
 		if err != nil {
 			b.Fatal(err)

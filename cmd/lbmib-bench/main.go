@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -22,12 +21,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lbmib-bench: ")
 	var (
-		exp         = flag.String("exp", "all", "experiment: table1, table2, table3, table4, fig5, fig8, mlups, imbalance, spreading, fused, flightrec, critpath, barrierfold, copyswap, ablations or all")
+		exp         = flag.String("exp", "all", "experiment: table1, table2, table3, table4, fig5, fig8, copyswap, ablations or all")
 		paper       = flag.Bool("paper", false, "use the paper's full problem sizes (slow)")
 		steps       = flag.Int("steps", 0, "override time steps for measured experiments")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and pprof on this address while benchmarks run")
-		out         = flag.String("out", "", "write the imbalance benchmark as schema-versioned JSON (default BENCH_imbalance.json with -exp imbalance; compare with scripts/bench_compare)")
-		heatmap     = flag.String("heatmap", "", "write the cube engine's per-cube work heatmap to this path (.tsv for TSV, else JSON)")
 	)
 	flag.Parse()
 	opt := experiments.Options{Paper: *paper, Steps: *steps}
@@ -65,142 +62,6 @@ func main() {
 		{"fig8", func() (string, error) {
 			r, err := experiments.Fig8(opt)
 			return r.Render(), err
-		}},
-		{"mlups", func() (string, error) {
-			r, err := experiments.MLUPS(opt, reg)
-			return r.Render(), err
-		}},
-		{"imbalance", func() (string, error) {
-			r, err := experiments.LoadImbalance(opt, reg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			path := *out
-			if path == "" && *exp == "imbalance" {
-				path = "BENCH_imbalance.json"
-			}
-			if path != "" {
-				if err := experiments.WriteBench(path, experiments.BenchFromImbalance(r)); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "benchmark written to %s (schema %s)\n", path, experiments.BenchSchema)
-			}
-			if *heatmap != "" && r.Heatmap != nil {
-				f, err := os.Create(*heatmap)
-				if err != nil {
-					return "", err
-				}
-				write := r.Heatmap.WriteJSON
-				if strings.HasSuffix(*heatmap, ".tsv") {
-					write = r.Heatmap.WriteTSV
-				}
-				werr := write(f)
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return "", werr
-				}
-				fmt.Fprintf(&b, "heatmap written to %s\n", *heatmap)
-			}
-			return b.String(), nil
-		}},
-		{"spreading", func() (string, error) {
-			r, err := experiments.Spreading(opt)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			path := *out
-			if path == "" && *exp == "spreading" {
-				path = "BENCH_spreading.json"
-			}
-			if path != "" {
-				if err := experiments.WriteBench(path, experiments.BenchFromSpreading(r)); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "benchmark written to %s (schema %s)\n", path, experiments.BenchSchema)
-			}
-			return b.String(), nil
-		}},
-		{"fused", func() (string, error) {
-			r, err := experiments.FusedThroughput(opt, reg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			path := *out
-			if path == "" && *exp == "fused" {
-				path = "BENCH_fused.json"
-			}
-			if path != "" {
-				if err := experiments.WriteBench(path, experiments.BenchFromFused(r)); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "benchmark written to %s (schema %s)\n", path, experiments.BenchSchema)
-			}
-			return b.String(), nil
-		}},
-		{"flightrec", func() (string, error) {
-			r, err := experiments.FlightRecOverhead(opt, reg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			path := *out
-			if path == "" && *exp == "flightrec" {
-				path = "BENCH_flightrec.json"
-			}
-			if path != "" {
-				if err := experiments.WriteBench(path, experiments.BenchFromFlightRec(r)); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "benchmark written to %s (schema %s)\n", path, experiments.BenchSchema)
-			}
-			return b.String(), nil
-		}},
-		{"critpath", func() (string, error) {
-			r, err := experiments.CritPathOverhead(opt, reg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			path := *out
-			if path == "" && *exp == "critpath" {
-				path = "BENCH_critpath.json"
-			}
-			if path != "" {
-				if err := experiments.WriteBench(path, experiments.BenchFromCritPath(r)); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "benchmark written to %s (schema %s)\n", path, experiments.BenchSchema)
-			}
-			return b.String(), nil
-		}},
-		{"barrierfold", func() (string, error) {
-			r, err := experiments.BarrierFold(opt, reg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			path := *out
-			if path == "" && *exp == "barrierfold" {
-				path = "BENCH_barrierfold.json"
-			}
-			if path != "" {
-				if err := experiments.WriteBench(path, experiments.BenchFromBarrierFold(r)); err != nil {
-					return "", err
-				}
-				fmt.Fprintf(&b, "benchmark written to %s (schema %s)\n", path, experiments.BenchSchema)
-			}
-			return b.String(), nil
 		}},
 		{"copyswap", func() (string, error) {
 			r, err := experiments.AblationCopySwapEngines(opt, reg)

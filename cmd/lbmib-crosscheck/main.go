@@ -1,7 +1,7 @@
 // Command lbmib-crosscheck is the CLI face of the cross-engine
 // differential checker (internal/crosscheck). It generates seeded
 // randomized configurations, executes each on every applicable engine
-// (sequential, omp, soa, the fused single-sweep engine in float64 and
+// (sequential, omp, the fused single-sweep engine in float64 and
 // float32 storage, and — on cube-divisible grids — cube and taskflow),
 // holds the results to the per-engine equivalence contract, and applies
 // the physics, metamorphic and checkpoint round-trip oracles.

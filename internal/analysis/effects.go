@@ -280,8 +280,6 @@ func (w *effectWalker) guardAtom(cond ast.Expr, info *types.Info) (guardVal, boo
 			return guardVal{"legacy", true}, true
 		case "LockedSpread":
 			return guardVal{"locked", true}, true
-		case "KeepEndBarrier":
-			return guardVal{"keepEndBarrier", true}, true
 		case "Float32":
 			return guardVal{"float32", true}, true
 		}

@@ -179,8 +179,6 @@ func (l *linearizer) condPred(e ast.Expr, depth int) (sitePred, string) {
 		switch v.Sel.Name {
 		case "LegacyCopy":
 			return func(sc scenario) bool { return sc.guard("legacy") }, "legacy"
-		case "KeepEndBarrier":
-			return func(sc scenario) bool { return sc.guard("keepEndBarrier") }, "keepEndBarrier"
 		}
 	case *ast.CallExpr:
 		// Inline a module helper with a single return statement.

@@ -306,7 +306,7 @@ func cubeScenarios() []scenario {
 					guards: map[string]bool{
 						"fibers": fibers, "legacy": legacy, "perKernel": perKernel,
 						"multi": true, "locked": false, "dynamic": false,
-						"float32": false, "keepEndBarrier": false,
+						"float32": false,
 					},
 				})
 			}
@@ -325,7 +325,7 @@ func ompScenarios() []scenario {
 				guards: map[string]bool{
 					"fibers": true, "legacy": legacy, "dynamic": dynamic,
 					"multi": true, "locked": false, "perKernel": false,
-					"float32": false, "keepEndBarrier": false,
+					"float32": false,
 				},
 			})
 		}
@@ -341,7 +341,7 @@ func fusedScenarios() []scenario {
 			guards: map[string]bool{
 				"fibers": fibers, "legacy": false, "dynamic": false,
 				"multi": true, "locked": false, "perKernel": false,
-				"float32": false, "keepEndBarrier": false,
+				"float32": false,
 			},
 		})
 	}

@@ -736,33 +736,6 @@ func measuredProfile(r *Report) ([]perfsim.MeasuredPhase, float64) {
 	return phases, syncSec
 }
 
-// PredictEndFold returns perfsim's predicted speedup, in percent, of
-// removing one barrier crossing per step outright — the model for
-// folding the end-of-step barrier, whose adjacent phases (the parity
-// flip and the next step's empty fiber loop) carry no work in the
-// configurations that fold it, so the entire gain is the crossing
-// itself. Returns 0 when the report holds no profile.
-func PredictEndFold(r *Report) float64 {
-	phases, syncSec := measuredProfile(r)
-	if len(phases) == 0 {
-		return 0
-	}
-	base := float64(len(phases)) * syncSec
-	for _, ph := range phases {
-		var m float64
-		for _, v := range ph.Busy {
-			if v > m {
-				m = v
-			}
-		}
-		base += m
-	}
-	if base <= syncSec {
-		return 0
-	}
-	return 100 * (base/(base-syncSec) - 1)
-}
-
 // AddWhatIfWithProofs is AddWhatIf plus static backing: the barrier-merge
 // scenarios are tagged with the phase-effect analyzer's verdict from the
 // engine's fusibility report (proven-safe vs unsafe-with-conflict), so

@@ -7,18 +7,13 @@ import (
 	"path/filepath"
 
 	"lbmib"
-	"lbmib/internal/core"
-	"lbmib/internal/fiber"
 	"lbmib/internal/flightrec"
 	"lbmib/internal/grid"
-	"lbmib/internal/lattice"
-	"lbmib/internal/soa"
 	"lbmib/internal/validate"
 )
 
-// Engine names one implementation under differential test. The facade
-// engines are addressed through lbmib.SolverKind; the SoA solver is
-// internal-only and driven directly.
+// Engine names one implementation under differential test, addressed
+// through lbmib.SolverKind.
 type Engine string
 
 // The engines the Runner exercises. The -locked variants run the omp and
@@ -33,7 +28,6 @@ const (
 	EngineOMP        Engine = "omp"
 	EngineCube       Engine = "cube"
 	EngineTaskflow   Engine = "taskflow"
-	EngineSoA        Engine = "soa"
 	EngineOMPLocked  Engine = "omp-locked"
 	EngineCubeLocked Engine = "cube-locked"
 	EngineFused      Engine = "fused"
@@ -47,7 +41,7 @@ const (
 // has an immersed structure — without one the spread path is never taken
 // and they would duplicate the base engines exactly.
 func Engines(c Case) []Engine {
-	es := []Engine{EngineSequential, EngineOMP, EngineSoA, EngineFused, EngineFusedF32}
+	es := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
 	if len(c.Config.Sheets) > 0 {
 		es = append(es, EngineOMPLocked)
 	}
@@ -62,7 +56,7 @@ func Engines(c Case) []Engine {
 
 // Deterministic reports whether engine e replays the exact same
 // floating-point trajectory for this case — the bitwise half of the
-// equivalence contract. Sequential and SoA execute one thread in program
+// equivalence contract. Sequential executes one thread in program
 // order; taskflow spreads fiber forces as a single task and all cube
 // tasks write disjoint data, so it is bitwise at any worker count. The
 // omp, fused and cube engines order multi-threaded spread sums
@@ -175,14 +169,6 @@ type state struct {
 	sheetV [][][3]float64
 }
 
-// engineRun abstracts "an executing engine" over the facade simulations
-// and the internal SoA solver.
-type engineRun interface {
-	run(n int)
-	state() state
-	close()
-}
-
 // simRun drives a facade engine.
 type simRun struct{ sim *lbmib.Simulation }
 
@@ -197,60 +183,6 @@ func (e *simRun) state() state {
 		st.sheetV = append(st.sheetV, v)
 	}
 	return st
-}
-
-// soaRun drives the structure-of-arrays solver.
-type soaRun struct{ s *soa.Solver }
-
-func (e *soaRun) run(n int) { e.s.Run(n) }
-func (e *soaRun) close()    {}
-func (e *soaRun) state() state {
-	st := state{grid: e.s.Fluid.ToGrid()}
-	for _, sh := range e.s.Sheets {
-		st.sheetX = append(st.sheetX, append([][3]float64(nil), sh.X...))
-		st.sheetV = append(st.sheetV, append([][3]float64(nil), sh.Vel...))
-	}
-	return st
-}
-
-func toBC(b lbmib.Boundary) core.BC {
-	if b == lbmib.NoSlip {
-		return core.BounceBack
-	}
-	return core.Periodic
-}
-
-// effTau resolves the relaxation time the facade would derive for cfg.
-func effTau(cfg lbmib.Config) float64 {
-	if cfg.Tau == 0 && cfg.Viscosity > 0 {
-		return lattice.TauFromViscosity(cfg.Viscosity)
-	}
-	if cfg.Tau == 0 {
-		return 0.6
-	}
-	return cfg.Tau
-}
-
-// buildSheets constructs the fiber sheets for cfg exactly as the facade
-// does, for the engines driven outside the facade.
-func buildSheets(cfg lbmib.Config) []*fiber.Sheet {
-	var out []*fiber.Sheet
-	for _, sc := range cfg.Sheets {
-		s := fiber.NewSheet(fiber.Params{
-			NumFibers:     sc.NumFibers,
-			NodesPerFiber: sc.NodesPerFiber,
-			Width:         sc.Width,
-			Height:        sc.Height,
-			Origin:        sc.Origin,
-			Ks:            sc.Ks,
-			Kb:            sc.Kb,
-		})
-		if sc.FixedRadius > 0 {
-			s.FixRegion(sc.FixedRadius)
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // solverKind maps a facade engine name to its SolverKind.
@@ -274,25 +206,10 @@ func lockedSpread(e Engine) bool {
 	return e == EngineOMPLocked || e == EngineCubeLocked
 }
 
-// newEngine instantiates engine e for the case. Facade engines carry a
+// newEngine instantiates engine e for the case. Engines carry a
 // flight recorder when the Runner has a FlightRecDir, so a divergence
 // leaves forensics behind.
-func (r *Runner) newEngine(c Case, e Engine) (engineRun, error) {
-	if e == EngineSoA {
-		cfg := c.Config
-		s, err := soa.NewSolver(soa.Config{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			Tau:       effTau(cfg),
-			BodyForce: cfg.BodyForce,
-			BCX:       toBC(cfg.BoundaryX), BCY: toBC(cfg.BoundaryY), BCZ: toBC(cfg.BoundaryZ),
-			LidVelocity: cfg.LidVelocity,
-			Sheets:      buildSheets(cfg),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &soaRun{s}, nil
-	}
+func (r *Runner) newEngine(c Case, e Engine) (*simRun, error) {
 	cfg := c.Config
 	cfg.Solver = solverKind(e)
 	cfg.LockedSpread = lockedSpread(e)
@@ -366,8 +283,8 @@ func (r *Runner) Run(c Case) Result {
 		// A diverged facade engine dumps its flight-recorder bundle
 		// before teardown, so the trajectory that disagreed is kept.
 		if len(er.Failures) > 0 {
-			if sr, ok := eng.(*simRun); ok && sr.sim.FlightRecorder() != nil {
-				if dir, err := sr.sim.WritePostMortem("crosscheck"); err == nil {
+			if eng.sim.FlightRecorder() != nil {
+				if dir, err := eng.sim.WritePostMortem("crosscheck"); err == nil {
 					er.Bundle = dir
 				}
 			}
@@ -396,7 +313,7 @@ func (r *Runner) Run(c Case) Result {
 // drive advances the engine to c.Steps, applying the invariant oracles
 // every c.CheckEvery steps with mass tolerance massRel, and returns the
 // final state.
-func (r *Runner) drive(e engineRun, c Case, massRel float64) (state, []string) {
+func (r *Runner) drive(e *simRun, c Case, massRel float64) (state, []string) {
 	var fails []string
 	m0 := e.state().grid.TotalMass()
 	for done := 0; done < c.Steps; {
@@ -507,8 +424,7 @@ func (r *Runner) roundTrip(c Case, e Engine) string {
 	}
 	first.run(half)
 	var buf bytes.Buffer
-	sim := first.(*simRun).sim
-	if err := sim.Checkpoint(&buf); err != nil {
+	if err := first.sim.Checkpoint(&buf); err != nil {
 		first.close()
 		return fmt.Sprintf("round-trip %s: checkpoint: %v", e, err)
 	}

@@ -66,9 +66,6 @@ func TestInjectedFaultDetected(t *testing.T) {
 		if er.Engine == string(EngineOMP) && len(er.Failures) > 0 {
 			flagged = true
 		}
-		if er.Engine == string(EngineSoA) && len(er.Failures) > 0 {
-			t.Errorf("soa engine flagged but the fault lives in omp:\n%s", strings.Join(er.Failures, "\n"))
-		}
 	}
 	// The fault may also surface through the omp checkpoint round-trip on
 	// indivisible grids; the per-engine report is the primary signal.
@@ -105,7 +102,7 @@ func TestInjectedFusedFaultDetected(t *testing.T) {
 			if len(er.Failures) > 0 {
 				flagged = true
 			}
-		case string(EngineOMP), string(EngineSoA):
+		case string(EngineOMP):
 			if len(er.Failures) > 0 {
 				t.Errorf("%s engine flagged but the fault lives in fused:\n%s",
 					er.Engine, strings.Join(er.Failures, "\n"))
@@ -161,9 +158,6 @@ func TestDivergenceWritesFlightRecBundle(t *testing.T) {
 	for _, er := range res.Engines {
 		if len(er.Failures) == 0 {
 			continue
-		}
-		if er.Engine == string(EngineSoA) {
-			continue // internal solver, no recorder
 		}
 		if er.Bundle == "" {
 			t.Errorf("diverged engine %s reported no bundle", er.Engine)

@@ -120,11 +120,6 @@ type Config struct {
 	// only the lock-free path is deterministic run-to-run at a fixed
 	// thread count.
 	LockedSpread bool
-	// KeepEndBarrier forces the end-of-step barrier even when
-	// endBarrierNeeded proves it orders nothing — the measurement foil
-	// for the barrier-fold experiment (predicted vs realized gain).
-	// Results are bitwise identical either way; that is the point.
-	KeepEndBarrier bool
 }
 
 // Solver is the cube-centric parallel LBM-IB solver.
@@ -144,9 +139,6 @@ type Solver struct {
 	// LockedSpread selects the per-owner-lock spreading path (see
 	// Config.LockedSpread); the default is the lock-free reduction.
 	LockedSpread bool
-	// KeepEndBarrier keeps the end-of-step barrier unconditionally (see
-	// Config.KeepEndBarrier).
-	KeepEndBarrier bool
 
 	Observer PhaseObserver
 
@@ -214,11 +206,10 @@ func NewSolver(cfg Config) (*Solver, error) {
 			CX: layout.CX, CY: layout.CY, CZ: layout.CZ,
 			Mesh: par.NewMesh(cfg.Threads), Dist: cfg.Dist, BlockSize: cfg.BlockSize,
 		},
-		FiberDist:      cfg.Dist,
-		Barriers:       cfg.Barriers,
-		LegacyCopy:     cfg.LegacyCopy,
-		LockedSpread:   cfg.LockedSpread,
-		KeepEndBarrier: cfg.KeepEndBarrier,
+		FiberDist:    cfg.Dist,
+		Barriers:     cfg.Barriers,
+		LegacyCopy:   cfg.LegacyCopy,
+		LockedSpread: cfg.LockedSpread,
 		bc: core.StreamBC{
 			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
 			BCX: cfg.BCX, BCY: cfg.BCY, BCZ: cfg.BCZ,
@@ -400,7 +391,7 @@ func (s *Solver) timeStep(step, tid, cur int) {
 	// it is required (the copy reads post-streaming buffers the next
 	// step's streaming overwrites cross-cube). The condition is
 	// thread-invariant, so every worker takes the same branch.
-	if perKernel || s.KeepEndBarrier || s.endBarrierNeeded() {
+	if perKernel || s.endBarrierNeeded() {
 		s.waitBarrier(SiteEndOfStep, tid)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/perfsim"
-	"lbmib/internal/soa"
 	"lbmib/internal/telemetry"
 )
 
@@ -270,15 +269,12 @@ type CopySwapResult struct {
 	CopySharePct float64
 	Total        time.Duration
 	CopyTime     time.Duration
-	AoSStep      time.Duration // measured AoS (copy) step
-	SoAStep      time.Duration // measured SoA (swap) step
 }
 
-// AblationCopyVsSwap quantifies what kernel 9's explicit buffer copy costs
-// and what a swap-capable layout buys. The paper's AoS node record embeds
-// both distribution buffers in every node, which forces the copy;
-// internal/soa restructures the grid to structure-of-arrays where kernel 9
-// is an O(1) buffer swap, so both variants can be measured for real.
+// AblationCopyVsSwap quantifies what kernel 9's explicit buffer copy
+// costs: the paper's AoS node record embeds both distribution buffers in
+// every node, which forces the copy. AblationCopySwapEngines measures the
+// O(1) parity swap that retires it on the real engines.
 func AblationCopyVsSwap(opt Options) (CopySwapResult, error) {
 	nx, ny, nz, steps := opt.table1Grid()
 	sheet := opt.sheet52([3]int{nx, ny, nz})
@@ -291,31 +287,14 @@ func AblationCopyVsSwap(opt Options) (CopySwapResult, error) {
 	}
 	prof := &perfmon.KernelProfile{}
 	s.Observer = prof
-	t0 := time.Now()
 	s.Run(steps)
-	aosStep := time.Since(t0) / time.Duration(steps)
 	copyTime := prof.KernelTime(core.KCopyDistribution)
 	total := prof.Total()
 	share := 0.0
 	if total > 0 {
 		share = 100 * float64(copyTime) / float64(total)
 	}
-
-	ss, err := soa.NewSolver(soa.Config{
-		NX: nx, NY: ny, NZ: nz, Tau: 0.7,
-		BodyForce: [3]float64{2e-5, 0, 0}, Sheet: opt.sheet52([3]int{nx, ny, nz}),
-	})
-	if err != nil {
-		return CopySwapResult{}, err
-	}
-	t0 = time.Now()
-	ss.Run(steps)
-	soaStep := time.Since(t0) / time.Duration(steps)
-
-	return CopySwapResult{
-		CopySharePct: share, Total: total, CopyTime: copyTime,
-		AoSStep: aosStep, SoAStep: soaStep,
-	}, nil
+	return CopySwapResult{CopySharePct: share, Total: total, CopyTime: copyTime}, nil
 }
 
 // Render formats the copy-vs-swap ablation.
@@ -324,10 +303,8 @@ func (r CopySwapResult) Render() string {
 	b.WriteString("Ablation — kernel 9 buffer copy vs pointer swap\n")
 	fmt.Fprintf(&b, "copy_fluid_velocity_distribution: %s of %s total (%.2f%%; paper: 5.9%%)\n",
 		fmtDuration(r.CopyTime), fmtDuration(r.Total), r.CopySharePct)
-	fmt.Fprintf(&b, "measured step time: AoS layout (copy) %s, SoA layout (swap) %s\n",
-		fmtDuration(r.AoSStep), fmtDuration(r.SoAStep))
 	b.WriteString("the paper's AoS node record embeds both buffers and pays the copy;\n")
-	b.WriteString("internal/soa stores directions as separate arrays and swaps in O(1).\n")
+	b.WriteString("-exp copyswap measures the O(1) parity swap on the real engines.\n")
 	return b.String()
 }
 
@@ -397,11 +374,24 @@ type CopySwapEngineRow struct {
 
 // CopySwapEnginesResult measures the double-buffer swap against the
 // legacy per-node copy on the real parallel engines (the in-place
-// counterpart of AblationCopyVsSwap's AoS/SoA comparison).
+// counterpart of AblationCopyVsSwap's copy-share measurement).
 type CopySwapEnginesResult struct {
 	NX, NY, NZ int
 	Steps      int
 	Rows       []CopySwapEngineRow
+}
+
+// copySwapGrid returns the engine copy-vs-swap problem size.
+func (o Options) copySwapGrid() (nx, ny, nz, steps, threads int) {
+	if o.Paper {
+		nx, ny, nz, steps, threads = 124, 64, 64, 100, 8
+	} else {
+		nx, ny, nz, steps, threads = 32, 32, 32, 20, 4
+	}
+	if o.Steps > 0 {
+		steps = o.Steps
+	}
+	return
 }
 
 // AblationCopySwapEngines runs the OpenMP-style and cube solvers with
@@ -410,7 +400,7 @@ type CopySwapEnginesResult struct {
 // measurement is published as the gauge
 // lbmib_ablation_copyswap_mlups{engine=...,mode=...}.
 func AblationCopySwapEngines(opt Options, reg *telemetry.Registry) (CopySwapEnginesResult, error) {
-	nx, ny, nz, steps, threads := opt.mlupsGrid()
+	nx, ny, nz, steps, threads := opt.copySwapGrid()
 	nodes := float64(nx) * float64(ny) * float64(nz)
 	res := CopySwapEnginesResult{NX: nx, NY: ny, NZ: nz, Steps: steps}
 

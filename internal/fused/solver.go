@@ -67,7 +67,7 @@
 // BarrierArrivalObserver attached, it and an extra end-of-sweep barrier
 // report per-thread waits under the cube engine's site vocabulary
 // (SiteAfterStream and SiteEndOfStep), which is what lets the
-// load-imbalance bench and the critical-path profiler cover this engine.
+// contention profiles and the critical-path profiler cover this engine.
 //
 // # Float32 storage
 //

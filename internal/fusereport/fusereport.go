@@ -2,7 +2,7 @@
 // report (schema lbmib-fuse/v1) produced by the phase-effect analyzer in
 // internal/analysis and consumed by internal/perfsim's what-if estimator
 // and the verification pipeline. It is deliberately free of go/types so
-// consumers (perfsim, critpath, the bench tooling) can import it without
+// consumers (perfsim, critpath, lbmib-profile) can import it without
 // dragging the analyzer in.
 //
 // One Report covers every engine's barrier sites. For each site the

@@ -2,7 +2,6 @@ package perfmon
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -468,43 +467,6 @@ func (h *CubeHeatmap) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// WriteTSV exports one row per cube (cube index, coordinates, owner,
-// per-phase nanoseconds, total) — loadable by a spreadsheet or gnuplot
-// for a quick heatmap rendering.
-func (h *CubeHeatmap) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprint(w, "cube\tcx\tcy\tcz\towner"); err != nil {
-		return err
-	}
-	for p := cubesolver.Phase(1); p <= cubesolver.NumPhases; p++ {
-		if _, err := fmt.Fprintf(w, "\t%s_ns", p.String()); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w, "\ttotal_ns"); err != nil {
-		return err
-	}
-	for c := 0; c < h.NumCubes(); c++ {
-		cz := c % h.cz
-		cy := (c / h.cz) % h.cy
-		cx := c / (h.cy * h.cz)
-		if _, err := fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d", c, cx, cy, cz, h.Owner(c)); err != nil {
-			return err
-		}
-		var total int64
-		for p := 1; p <= cubesolver.NumPhases; p++ {
-			v := h.nanos[c*(cubesolver.NumPhases+1)+p].Load()
-			total += v
-			if _, err := fmt.Fprintf(w, "\t%d", v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "\t%d\n", total); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // EmitCounters writes one Chrome-trace counter sample per worker thread

@@ -158,18 +158,6 @@ func TestCubeHeatmapExports(t *testing.T) {
 		t.Fatalf("cube 1 total = %d", doc.Cubes[1].TotalNanos)
 	}
 
-	buf.Reset()
-	if err := h.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 { // header + 2 cubes
-		t.Fatalf("TSV has %d lines:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "cube\tcx\tcy\tcz\towner\t") {
-		t.Fatalf("TSV header = %q", lines[0])
-	}
-
 	tr := telemetry.NewTracer()
 	h.EmitCounters(tr)
 	if tr.Len() != 2 { // one counter sample per thread

@@ -186,8 +186,8 @@ type Config struct {
 	// LockedSpread restores mutex-protected force spreading (per-owner
 	// locks for CubeBased, per-x-plane locks for OpenMP and Fused)
 	// instead of the lock-free per-thread accumulation + reduction
-	// default — kept for the locked-vs-lock-free ablation (lbmib-bench
-	// -exp spreading).
+	// default — kept for the locked-vs-lock-free ablation and as the
+	// crosscheck foil.
 	LockedSpread bool
 	// Float32 stores the velocity distributions as float32 with the
 	// Fused engine (arithmetic stays float64), halving the sweep's

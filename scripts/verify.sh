@@ -3,15 +3,16 @@
 # detector on the packages where concurrency bugs would hide (telemetry
 # sinks are called from every worker thread; the cube solver owns the
 # P×Q×R barrier choreography; the omp and cube engines flip the shared
-# double-buffer parity bit from worker threads; soa swaps slices; the
-# taskflow engine schedules cubes over a dependency graph; the fused
-# engine's wavefront sweep overlaps collide and finalize planes across
-# one parallel region; the cluster solver exchanges halos between ranks;
-# perfmon profiles accumulate from all workers; par's timed barrier
-# wraps the team barrier), plus two differential-testing smokes — a
-# seeded cross-engine sweep and a short native-fuzz run of the
-# checkpoint decoder — and a load-imbalance bench smoke that emits and
-# validates a schema-versioned BENCH file.
+# double-buffer parity bit from worker threads; the taskflow engine
+# schedules cubes over a dependency graph; the fused engine's wavefront
+# sweep overlaps collide and finalize planes across one parallel region;
+# the cluster solver exchanges halos between ranks; perfmon profiles
+# accumulate from all workers; par's timed barrier wraps the team
+# barrier), differential-testing and fuzz smokes (a seeded cross-engine
+# sweep plus short native-fuzz runs of the decoders), the flight-recorder
+# and critical-path CLI smokes, and a vet + test pass over the separate
+# perfbench module so a library API change cannot break the benchmark
+# unnoticed.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -20,6 +21,11 @@ go build ./...
 go test ./...
 go vet ./...
 go vet -stdmethods=false ./...
+
+# The benchmark harness is its own module (replace lbmib => ../), so the
+# root ./... patterns above do not reach it.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 # Domain-aware static analysis: lbmib-lint proves the lock discipline,
 # barrier choreography, buffer-parity contract, float-comparison policy,
@@ -40,7 +46,7 @@ go run ./cmd/lbmib-lint -fusibility -o "$FUSEOUT"
 cmp FUSE_report.json "$FUSEOUT"
 rm -f "$FUSEOUT"
 
-go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/soa/... ./internal/taskflow/... ./internal/cluster/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
+go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/cluster/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the
@@ -62,29 +68,6 @@ go test -run '^$' -fuzz '^FuzzLintParse$' -fuzztime 5s ./internal/analysis/
 # decoder must never panic and must round-trip when they validate.
 go test -run '^$' -fuzz '^FuzzFusibilityReport$' -fuzztime 5s ./internal/fusereport/
 
-# Load-imbalance bench smoke: emit a fresh schema-versioned benchmark
-# and diff it against the committed baseline (warn-only drift tripwire;
-# the structural/schema checks do fail the script).
-go run ./cmd/lbmib-bench -exp imbalance -out BENCH_smoke.json
-scripts/bench_compare BENCH_baseline.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
-# Spreading bench smoke: locked vs lock-free force spreading on both
-# lockable engines, diffed against the committed baseline and checked
-# against the spreading invariants (lock-free rows must be lock-event-
-# free; slower-than-locked is a warning, like all drift here).
-go run ./cmd/lbmib-bench -exp spreading -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr7.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
-# Fused-engine bench smoke: the single-sweep engine against the omp and
-# cube baselines, diffed against the committed baseline (warn-only
-# drift tripwire; same step count as the baseline so the comparator
-# diffs like against like).
-go run ./cmd/lbmib-bench -exp fused -steps 40 -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr8.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
 # Flight-recorder forensics smoke: a run driven far past the lattice's
 # stability envelope must trip the watchdog, leave a post-mortem bundle,
 # and lbmib-postmortem must decode it.
@@ -99,12 +82,6 @@ test -f "$FRDIR/manifest.json"
 go run ./cmd/lbmib-postmortem -ring 5 "$FRDIR"
 rm -rf "$FRDIR"
 
-# Flight-recorder overhead tripwire: fresh measurement against the
-# committed recorder-on/off baseline (warn-only, like the one above).
-go run ./cmd/lbmib-bench -exp flightrec -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr6.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
 # Critical-path profiler smoke: a tiny attributed run must emit a valid
 # schema-versioned report naming at least one barrier site.
 CPOUT=$(mktemp)
@@ -113,17 +90,3 @@ go run ./cmd/lbmib-profile -critpath -solver cube -threads 2 \
 grep -q '"schema": "lbmib-critpath/v1"' "$CPOUT"
 grep -q '"site": "end_of_step"' "$CPOUT"
 rm -f "$CPOUT"
-
-# Critical-path profiler overhead tripwire: fresh profiler-on/off pair
-# against the committed baseline (warn-only drift, budget 2%).
-go run ./cmd/lbmib-bench -exp critpath -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr9.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
-# Barrier-fold bench smoke: the proven end-of-step fold against its
-# barrier-kept foil, diffed against the committed baseline. The
-# realized-vs-predicted shortfall check inside is warn-only (fold gains
-# are sync-cost sized and noise-prone); schema/structure checks fail.
-go run ./cmd/lbmib-bench -exp barrierfold -steps 40 -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr10.json BENCH_smoke.json
-rm -f BENCH_smoke.json
